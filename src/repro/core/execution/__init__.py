@@ -4,13 +4,17 @@ The three strategies of Section 2/3 are implemented as relational operators
 that drive the network simulator:
 
 * :class:`~repro.core.execution.naive.NaiveUdfOperator` — one synchronous
-  round trip per tuple;
-* :class:`~repro.core.execution.semijoin.SemiJoinUdfOperator` — sender /
-  bounded pipeline buffer / receiver, duplicate elimination, merge of result
-  stream onto buffered records;
+  round trip per batch;
+* :class:`~repro.core.execution.semijoin.SemiJoinUdfOperator` — duplicate
+  elimination, at most F argument rows awaiting results, results joined back
+  onto the buffered records;
 * :class:`~repro.core.execution.clientjoin.ClientSiteJoinOperator` — whole
   records shipped to the client, pushable predicates and projections applied
   there.
+
+All three ship through one sender/receiver loop,
+:meth:`~repro.core.execution.base.RemoteUdfOperator.ship`, over the
+in-flight window of :mod:`repro.core.execution.overlap`.
 
 A fourth, adaptive executor —
 :class:`~repro.core.execution.adaptive.AdaptiveStrategyOperator` — runs the
@@ -28,7 +32,7 @@ which bundles the simulator, the channel, and the client runtime.
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.base import RemoteUdfOperator
 from repro.core.execution.naive import NaiveUdfOperator
-from repro.core.execution.semijoin import SemiJoinSegmentState, SemiJoinUdfOperator
+from repro.core.execution.semijoin import SemiJoinUdfOperator
 from repro.core.execution.clientjoin import ClientSiteJoinOperator
 from repro.core.execution.adaptive import (
     AdaptiveStrategyOperator,
@@ -46,7 +50,6 @@ __all__ = [
     "RemoteExecutionContext",
     "RemoteUdfOperator",
     "NaiveUdfOperator",
-    "SemiJoinSegmentState",
     "SemiJoinUdfOperator",
     "ClientSiteJoinOperator",
     "AdaptiveStrategyOperator",

@@ -43,7 +43,7 @@ projection, whatever sequence of strategies actually ran.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.adaptive.reoptimizer import (
     MigrationObservation,
@@ -58,7 +58,6 @@ from repro.client.udf import UdfDefinition
 from repro.core.execution.base import RemoteUdfOperator
 from repro.core.execution.clientjoin import ClientSiteJoinOperator
 from repro.core.execution.context import RemoteExecutionContext
-from repro.core.execution.semijoin import SemiJoinSegmentState
 from repro.core.strategies import StrategyConfig
 from repro.relational.expressions import Expression, conjoin
 from repro.relational.operators.base import CollectingOperator, Operator
@@ -116,10 +115,10 @@ class AdaptiveStrategyOperator(ClientSiteJoinOperator):
         )
         #: ``(strategy, input_rows)`` per executed segment, in order.
         self.segments: List[Tuple[object, int]] = []
-        #: Semi-join duplicate-elimination state shared by every segment, so
-        #: a later semi-join segment never re-ships arguments an earlier one
-        #: already resolved (wire-row counts match an unsegmented run).
-        self._semi_join_state = SemiJoinSegmentState()
+        #: The ``{arguments: result}`` cache every segment shares, so a later
+        #: segment never re-ships arguments an earlier one already resolved
+        #: (wire-row counts match an unsegmented run).
+        self._semi_join_state: Dict[Tuple[Any, ...], Any] = {}
 
     # -- execution ---------------------------------------------------------------------
 
@@ -446,9 +445,8 @@ class PlanMigrationOperator(Operator):
       before merging;
     * client-side state survives migration: all segments share one execution
       context (one client result cache), and each UDF carries one
-      :class:`~repro.core.execution.semijoin.SemiJoinSegmentState` across
-      segments, so duplicate arguments are never re-shipped, whatever shapes
-      ran.
+      ``{arguments: result}`` server cache across segments, so duplicate
+      arguments are never re-shipped, whatever shapes ran.
     """
 
     def __init__(
@@ -520,9 +518,9 @@ class PlanMigrationOperator(Operator):
         # per-UDF unit row counts, across all segments and shapes.
         self._predicate_counts: Dict[str, Tuple[int, int]] = {}
         self._udf_unit_counts: Dict[str, Tuple[int, int, int]] = {}
-        # One carried semi-join / naive duplicate-elimination state per UDF.
-        self._states: Dict[str, SemiJoinSegmentState] = {
-            name: SemiJoinSegmentState() for name in self._declared_order
+        # One carried semi-join / naive ``{arguments: result}`` cache per UDF.
+        self._states: Dict[str, Dict[Tuple[Any, ...], Any]] = {
+            name: {} for name in self._declared_order
         }
 
     # -- execution ---------------------------------------------------------------------

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
-
 import math
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
+from repro.client.protocol import ArgumentBatch, RemoteCall
 from repro.client.udf import UdfDefinition
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.execution.overlap import InFlightWindow
 from repro.core.strategies import StrategyConfig
-from repro.network.message import Message, MessageKind
+from repro.network.events import Event
+from repro.network.message import (
+    Message,
+    MessageKind,
+    batch_message,
+    end_of_stream,
+    is_end_of_stream,
+)
 from repro.relational.columns import TypedColumn, build_typed_column
 from repro.relational.operators.base import Operator
 from repro.relational.operators.sort import _NullsFirstKey
@@ -122,37 +130,87 @@ class RemoteUdfOperator(Operator):
 
     # -- overlapped shipping -----------------------------------------------------------
 
-    def make_window(self, default: Optional[float] = None) -> InFlightWindow:
-        """The in-flight batch window for this operation's request stream.
+    def ship(
+        self,
+        requests: Iterator[Any],
+        default_window: Optional[int] = None,
+        rows: Optional[InFlightWindow] = None,
+    ):
+        """The one sender/receiver loop every strategy ships through.
 
-        ``default`` is the strategy's historical window when neither an
-        explicit ``overlap_window`` nor a controller is configured: 1 for
-        synchronous shipping (naive), ``None``/inf for free streaming
-        (semi-join, client-site join).
+        A coroutine for ``_drive`` to ``yield from``; it returns the reply
+        payloads in request order.  The sender pulls ``requests`` lazily, the
+        next item only once the previous batch is on the wire, so adaptive
+        targets are re-read at the same simulated instants as the batches
+        leave.  An item is either an :class:`~repro.network.events.Event`
+        the sender waits on (the strategy's own flow control) or a
+        ``(message, acknowledged_rows)`` request: the sender acquires a slot
+        of the in-flight batch window, ships the message and queues the row
+        count.  The receiver reads replies until end-of-stream; per reply it
+        checks for a client failure, frees the window slot, keeps the payload
+        and reports the queued rows to the controllers — and, with a ``rows``
+        window, frees those rows too.
+
+        ``default_window`` is the strategy's historical batch window when
+        neither an explicit ``overlap_window`` nor a controller is
+        configured: 1 for synchronous shipping (naive), ``None`` for free
+        streaming (semi-join, client-site join).
         """
+        simulator = self.context.simulator
+        channel = self.context.channel
         target = self.config.next_overlap_window(self.udf.name)
         if target is None:
-            target = default
-        capacity = float(target) if target is not None else math.inf
-        return InFlightWindow(
-            self.context.simulator,
-            capacity=capacity,
+            target = default_window
+        window = InFlightWindow(
+            simulator,
+            capacity=float(target) if target is not None else math.inf,
             name=f"{type(self).__name__}.window",
         )
+        acknowledged: Deque[int] = deque()
+        payloads: List[Any] = []
 
-    def refresh_window(self, window: InFlightWindow, floor: int = 1) -> None:
-        """Re-read the window target at a batch boundary (adaptive-aware)."""
-        target = self.config.next_overlap_window(self.udf.name)
-        if target is not None:
-            window.resize(max(floor, target))
+        def sender():
+            for request in requests:
+                if isinstance(request, Event):
+                    yield request
+                    continue
+                message, acknowledged_rows = request
+                # Re-read the window target at every batch boundary: an
+                # adaptive controller may have moved it since the last send.
+                target = self.config.next_overlap_window(self.udf.name)
+                if target is not None:
+                    window.resize(target)
+                yield window.acquire()
+                acknowledged.append(acknowledged_rows)
+                yield channel.send_to_client(message)
+            yield channel.send_to_client(end_of_stream())
 
-    def finish_window(self, window: InFlightWindow) -> None:
-        """Record the window's instrumentation after the operation drains."""
+        def receiver():
+            while True:
+                reply = yield channel.receive_at_server()
+                if is_end_of_stream(reply):
+                    return
+                self.check_reply(reply)
+                window.release()
+                payloads.append(reply.payload)
+                acknowledged_rows = acknowledged.popleft()
+                self.observe_batch(acknowledged_rows)
+                if rows is not None:
+                    rows.release(acknowledged_rows)
+
+        label = type(self).__name__
+        sender_process = simulator.process(sender(), name=f"{label}.sender")
+        receiver_process = simulator.process(receiver(), name=f"{label}.receiver")
+        # Wait for the receiver first: a client failure surfaces there even
+        # while the sender is still blocked on a window slot.
+        yield receiver_process
+        yield sender_process
         self.peak_in_flight_batches = max(
             self.peak_in_flight_batches, window.peak_in_flight
         )
         self.send_stall_seconds += window.stall_seconds
         self.overlap_window_used = window.capacity_or_none
+        return payloads
 
     # -- shared helpers ----------------------------------------------------------------
 
@@ -188,6 +246,46 @@ class RemoteUdfOperator(Operator):
                 tuple_width = sum(widths)
                 return lambda tuples: tuple_width * len(tuples)
         return lambda tuples: sum(values_size(arguments) for arguments in tuples)
+
+    def argument_message(
+        self, tuples: List[Tuple[Any, ...]], sizer, label: str
+    ) -> Message:
+        """One downlink batch carrying ``tuples`` as this UDF's arguments."""
+        call = RemoteCall(
+            udf_name=self.udf.name,
+            argument_positions=tuple(range(len(self.argument_columns))),
+        )
+        return batch_message(
+            MessageKind.UDF_ARGUMENTS,
+            ArgumentBatch(call=call, argument_tuples=list(tuples)),
+            payload_bytes=sizer(tuples),
+            row_count=len(tuples),
+            description=f"{label} {self.udf.name} x{len(tuples)}",
+        )
+
+    @staticmethod
+    def resolve(
+        resolution: List[Tuple[Tuple[Any, ...], Optional[int], int]],
+        replies: List[Any],
+        cache: Optional[Dict[Tuple[Any, ...], Any]],
+    ) -> List[Any]:
+        """One result per input row, assembled from the replies.
+
+        ``resolution`` holds ``(arguments, batch, offset)`` per input row, in
+        order: the row's result is at ``offset`` in the reply to request
+        ``batch``, or in ``cache`` when ``batch`` is ``None``.  Every result
+        is recorded in ``cache`` (when given) for later segments.
+        """
+        results: List[Any] = []
+        for arguments, batch_id, offset in resolution:
+            if batch_id is None:
+                result = cache[arguments]
+            else:
+                result = replies[batch_id].results[offset]
+                if cache is not None:
+                    cache[arguments] = result
+            results.append(result)
+        return results
 
     def record_bytes(self, row: Sequence[Any]) -> int:
         return row_size(row, self.child_schema)

@@ -3,9 +3,10 @@
 The server ships the *whole* input records to the client.  The client
 evaluates the UDF on each record, appends the result column, applies any
 pushable predicates and projections locally, and ships only the surviving,
-projected rows back to the server.  Sender and receiver on the server do not
-need to coordinate (there is no bounded buffer): the full records flow
-through the client, so the uplink stream is self-describing.
+projected rows back to the server.  Shipping runs through the shared
+overlapped request/response loop; no per-row bound is needed beside the
+batch window, because the full records flow through the client and the
+uplink stream is self-describing.
 
 Compared with the semi-join this trades *more* downlink traffic (full
 records, duplicates included) for *less* uplink traffic whenever the pushable
@@ -15,15 +16,14 @@ tradeoff measured in Figures 8-10.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.client.protocol import PushedOperations, RecordBatch, RemoteCall
 from repro.core.execution.base import RemoteUdfOperator
 from repro.core.execution.context import RemoteExecutionContext
 from repro.core.strategies import StrategyConfig
 from repro.client.udf import UdfDefinition
-from repro.network.message import MessageKind, is_end_of_stream, end_of_stream
+from repro.network.message import MessageKind, batch_message
 from repro.relational.expressions import Expression
 from repro.relational.kernels import compile_filter
 from repro.relational.operators.base import Operator
@@ -79,9 +79,6 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
     # -- coordination -------------------------------------------------------------------
 
     def _drive(self, batch: RowBatch):
-        simulator = self.context.simulator
-        channel = self.context.channel
-
         if self.config.sort_by_arguments:
             # Sorting groups argument duplicates so the client's result cache
             # avoids recomputation; it does not change what is shipped.
@@ -103,60 +100,37 @@ class ClientSiteJoinOperator(RemoteUdfOperator):
             extended_schema=self.extended_schema,
         )
 
-        # The client answers record batches in arrival order, so pairing the
-        # sent batch sizes FIFO with the replies attributes each reply to the
-        # *input* rows it acknowledges — surviving-row counts would confound
-        # the throughput signal with the predicate's selectivity.
-        sent_sizes: Deque[int] = deque()
-        # Historically the sender streams freely (the downlink is the only
-        # brake); an explicit overlap_window (or its controller) bounds the
-        # record batches outstanding on the wire instead.
-        window = self.make_window(default=None)
-
-        def sender():
+        def requests():
             start = 0
-            total = len(batch)
-            while start < total:
-                # Re-read the targets at every batch boundary: adaptive
-                # controllers may have moved them since the last send.
+            while start < len(batch):
+                # Re-read the target at every batch boundary: an adaptive
+                # controller may have moved it since the last send.
                 chunk = batch.slice(start, start + self.next_batch_size())
                 start += len(chunk)
-                sent_sizes.append(len(chunk))
-                self.refresh_window(window)
-                yield window.acquire()
-                yield channel.send_batch_to_client(
+                # The client answers record batches in arrival order, so each
+                # reply acknowledges the *input* rows of its request —
+                # surviving-row counts would confound the throughput signal
+                # with the predicate's selectivity.
+                yield batch_message(
                     MessageKind.RECORDS,
                     RecordBatch(calls=[call], rows=chunk, pushed=pushed),
                     payload_bytes=self.records_size(chunk),
                     row_count=len(chunk),
                     description=f"csj {self.udf.name} x{len(chunk)}",
-                )
-            yield channel.send_to_client(end_of_stream())
+                ), len(chunk)
 
-        def receiver():
-            collected: List[RowBatch] = []
-            while True:
-                reply = yield channel.receive_at_server()
-                if is_end_of_stream(reply):
-                    break
-                self.check_reply(reply)
-                window.release()
-                collected.append(reply.payload.batch)
-                if sent_sizes:
-                    self.observe_batch(sent_sizes.popleft())
-            return collected
-
-        sender_process = simulator.process(sender(), name="clientjoin.sender")
-        receiver_process = simulator.process(receiver(), name="clientjoin.receiver")
-        collected = yield receiver_process
-        yield sender_process
-        self.finish_window(window)
+        # Historically the sender streams freely (the downlink is the only
+        # brake); an explicit overlap_window (or its controller) bounds the
+        # record batches outstanding on the wire instead.
+        replies = yield from self.ship(requests())
 
         self.distinct_argument_count = len(set(self.argument_tuples(batch)))
         reply_width = (
             len(self.schema) if push_projection else len(self.extended_schema)
         )
-        output = concat_batches(collected, column_count=reply_width)
+        output = concat_batches(
+            [reply.batch for reply in replies], column_count=reply_width
+        )
         return self._finish_on_server(output, push_predicate, push_projection)
 
     # -- server-side completion (ablation paths) ------------------------------------------

@@ -4,16 +4,15 @@ This is the paper's strawman: treating the client-site UDF like an expensive
 server-site UDF that happens to make a remote call.  The server ships a batch
 of argument tuples (``StrategyConfig.batch_size``; the paper's setup is a
 batch of one) and needs the client's reply before the corresponding rows can
-proceed.  Shipping now runs over the shared overlapped request/response
-protocol (:mod:`repro.core.execution.overlap`): with the default in-flight
-window of 1 the wire behaviour is the paper's — one synchronous round trip
-per batch, the full network latency paid every time, the pipeline never more
-than one batch deep.  A wider window (``StrategyConfig.overlap_window``, or
-the adaptive :class:`~repro.adaptive.controller.OverlapWindowController`)
-keeps up to W batches outstanding, overlapping client computation with
-network transfer exactly as the Figure 6 concurrency analysis prescribes —
-the wire carries the same messages and bytes, just without the per-batch
-stalls.
+proceed.  Shipping runs through the shared overlapped request/response loop
+(:mod:`repro.core.execution.overlap`): with the default in-flight window of 1
+the wire behaviour is the paper's — one synchronous round trip per batch, the
+full network latency paid every time, the pipeline never more than one batch
+deep.  A wider window (``StrategyConfig.overlap_window``, or the adaptive
+:class:`~repro.adaptive.controller.OverlapWindowController`) keeps up to W
+batches outstanding, overlapping client computation with network transfer
+exactly as the Figure 6 concurrency analysis prescribes — the wire carries
+the same messages and bytes, just without the per-batch stalls.
 
 The only optimisation kept from the server-site world is [HN97]-style result
 caching of duplicate argument tuples on the server, controlled by
@@ -24,22 +23,18 @@ trace is identical whatever the window is.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.client.protocol import ArgumentBatch, RemoteCall, ResultBatch
 from repro.core.execution.base import RemoteUdfOperator
-from repro.network.message import MessageKind, end_of_stream, is_end_of_stream
 from repro.relational.tuples import RowBatch
 
 
 class NaiveUdfOperator(RemoteUdfOperator):
     """One client round trip per batch of input tuples, up to W in flight.
 
-    ``carry_state`` (a :class:`~repro.core.execution.semijoin.SemiJoinSegmentState`)
-    shares the server result cache across the segments of an adaptive
-    execution, so a later segment does not re-ship arguments an earlier
-    naive segment already resolved.
+    ``carry_state`` (the ``{arguments: result}`` dict the segments of one
+    adaptive execution share) seeds the server result cache, so a later
+    segment does not re-ship arguments an earlier segment already resolved.
     """
 
     def __init__(self, *args, carry_state=None, **kwargs) -> None:
@@ -47,128 +42,48 @@ class NaiveUdfOperator(RemoteUdfOperator):
         self.carry_state = carry_state
 
     def _drive(self, batch: RowBatch):
-        simulator = self.context.simulator
-        channel = self.context.channel
-        call = RemoteCall(
-            udf_name=self.udf.name,
-            argument_positions=tuple(range(len(self.argument_columns))),
-        )
-        use_cache = self.config.server_result_cache
-        carried = self.carry_state if use_cache else None
-        cache: Dict[Tuple[Any, ...], Any] = (
-            carried.results if carried is not None else {}
-        )
-        # The naive strategy's historical wire behaviour is synchronous:
-        # window 1 unless the config (or its controller) says otherwise.
-        window = self.make_window(default=1)
-
+        cache: Optional[Dict[Tuple[Any, ...], Any]] = None
+        if self.config.server_result_cache:
+            cache = self.carry_state if self.carry_state is not None else {}
         arguments_list = self.argument_tuples(batch)
         sizer = self.argument_sizer(batch)
+        # How each input row resolves, in input order (see ``resolve``).
+        resolution: List[Tuple[Tuple[Any, ...], Optional[int], int]] = []
 
-        distinct_arguments = set()
-        # How each input row resolves, in input order: ``(arguments,
-        # batch_id, offset)`` — ``batch_id`` None for rows answered from the
-        # server cache at enqueue time, else the index of the request batch
-        # (and the offset within it) that carries the row's arguments.
-        resolution: List[Tuple[Tuple[Any, ...], Optional[int], Optional[int]]] = []
-        # One slot per request batch, filled by the receiver in FIFO order.
-        batch_results: List[Optional[List[Any]]] = []
-        # Input rows acknowledged by each reply (cache-resolved rows between
-        # flushes count toward the batch that follows them), FIFO.
-        acknowledged: Deque[int] = deque()
-
-        def sender():
+        def requests():
             pending: List[Tuple[Any, ...]] = []
             # Arguments already sent (or pending) resolve to the batch that
             # carries them; like the cache, only consulted when caching is on.
-            shipped_index: Dict[Tuple[Any, ...], Tuple[int, int]] = {}
+            shipped: Dict[Tuple[Any, ...], Tuple[int, int]] = {}
+            sent = 0
+            # Input rows the next reply acknowledges: cache-resolved rows
+            # between flushes count toward the batch that follows them.
             covered = 0
-            next_batch_id = 0
             for arguments in arguments_list:
-                distinct_arguments.add(arguments)
                 covered += 1
-                if use_cache:
+                if cache is not None:
                     if arguments in cache:
-                        resolution.append((arguments, None, None))
+                        resolution.append((arguments, None, 0))
                         continue
-                    shipped = shipped_index.get(arguments)
-                    if shipped is not None:
-                        resolution.append((arguments,) + shipped)
+                    slot = shipped.get(arguments)
+                    if slot is not None:
+                        resolution.append((arguments,) + slot)
                         continue
-                offset = len(pending)
+                    shipped[arguments] = (sent, len(pending))
+                resolution.append((arguments, sent, len(pending)))
                 pending.append(arguments)
-                if use_cache:
-                    shipped_index[arguments] = (next_batch_id, offset)
-                resolution.append((arguments, next_batch_id, offset))
-                # Re-read the targets each time: adaptive controllers may
-                # have moved the batch size or the window since the last send.
+                # Re-read the target each time: an adaptive controller may
+                # have moved the batch size since the last send.
                 if len(pending) >= self.next_batch_size():
-                    self.refresh_window(window)
-                    yield window.acquire()
-                    yield channel.send_batch_to_client(
-                        MessageKind.UDF_ARGUMENTS,
-                        ArgumentBatch(call=call, argument_tuples=list(pending)),
-                        payload_bytes=sizer(pending),
-                        row_count=len(pending),
-                        description=f"naive {self.udf.name} x{len(pending)}",
-                    )
-                    acknowledged.append(covered)
+                    yield self.argument_message(pending, sizer, "naive"), covered
+                    sent += 1
                     covered = 0
-                    batch_results.append(None)
-                    next_batch_id += 1
-                    pending.clear()
+                    pending = []
             if pending:
-                self.refresh_window(window)
-                yield window.acquire()
-                yield channel.send_batch_to_client(
-                    MessageKind.UDF_ARGUMENTS,
-                    ArgumentBatch(call=call, argument_tuples=list(pending)),
-                    payload_bytes=sizer(pending),
-                    row_count=len(pending),
-                    description=f"naive {self.udf.name} x{len(pending)}",
-                )
-                acknowledged.append(covered)
-                batch_results.append(None)
-                pending.clear()
-            yield channel.send_to_client(end_of_stream())
+                yield self.argument_message(pending, sizer, "naive"), covered
 
-        def receiver():
-            received = 0
-            while True:
-                reply = yield channel.receive_at_server()
-                if is_end_of_stream(reply):
-                    return
-                self.check_reply(reply)
-                window.release()
-                batch: ResultBatch = reply.payload
-                batch_results[received] = batch.results
-                received += 1
-                if acknowledged:
-                    self.observe_batch(acknowledged.popleft())
-
-        sender_process = simulator.process(sender(), name="naive.sender")
-        receiver_process = simulator.process(receiver(), name="naive.receiver")
-        # Wait for the receiver first: a client failure surfaces there even
-        # while the sender is still blocked on a window slot.
-        yield receiver_process
-        yield sender_process
-        self.finish_window(window)
-
-        results: List[Any] = []
-        for arguments, batch_id, offset in resolution:
-            if batch_id is None:
-                result = cache[arguments]
-            else:
-                result = batch_results[batch_id][offset]
-            if use_cache:
-                cache[arguments] = result
-                if carried is not None:
-                    # Mark the argument resolved for *other* strategies
-                    # sharing this state: a later semi-join segment must
-                    # treat it as already shipped (its receiver answers
-                    # from carried.results).
-                    carried.seen.add(arguments)
-            results.append(result)
-
-        self.distinct_argument_count = len(distinct_arguments)
-        return self.extended_batch(batch, results)
+        # The naive strategy's historical wire behaviour is synchronous:
+        # window 1 unless the config (or its controller) says otherwise.
+        replies = yield from self.ship(requests(), default_window=1)
+        self.distinct_argument_count = len(set(arguments_list))
+        return self.extended_batch(batch, self.resolve(resolution, replies, cache))

@@ -96,10 +96,9 @@ def build_operator(
     *initial* strategy, and the operator may hand the unprocessed tail of
     the input to a different strategy at segment boundaries.
 
-    ``semi_join_state`` (a
-    :class:`~repro.core.execution.semijoin.SemiJoinSegmentState`) carries
-    duplicate-elimination state across the segments of an adaptive
-    execution, so later segments never re-ship resolved arguments.
+    ``semi_join_state`` (an ``{arguments: result}`` dict) carries the
+    semi-join / naive duplicate-elimination state across the segments of an
+    adaptive execution, so later segments never re-ship resolved arguments.
     """
     from repro.relational.operators.filter import Filter
     from repro.relational.operators.project import Project

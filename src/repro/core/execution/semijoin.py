@@ -1,73 +1,49 @@
 """Semi-join execution of a client-site UDF (Sections 2.3.1 and 3.1.1).
 
-Architecture (paper Figure 3): on the server a *sender* and a *receiver* run
-concurrently, connected by a bounded buffer whose capacity is the pipeline
-concurrency factor.
+Architecture (paper Figure 3): the server's sender and receiver run
+concurrently through the shared shipping loop
+(:meth:`~repro.core.execution.base.RemoteUdfOperator.ship`).
 
 * The sender walks the input (optionally sorted and grouped on the argument
-  columns), eliminates argument duplicates, ships only the argument columns
-  of new argument tuples on the downlink, and enqueues every record on the
-  buffer.
+  columns), eliminates argument duplicates, and ships only the argument
+  columns of new argument tuples on the downlink, in batches.
 * The client evaluates the UDF on each received argument tuple and ships the
-  bare result back on the uplink.
-* The receiver dequeues records in order; for a record carrying a new
-  argument tuple it waits for the corresponding result from the client (the
-  two streams are merged positionally, i.e. a merge join on the sorted
-  argument key); for a duplicate it reuses the cached result.  Only once a
-  record's result is in hand is its pipeline slot released, so at most
-  ``concurrency_factor`` argument tuples are in flight at any instant — a
-  factor of 1 degenerates to tuple-at-a-time execution, exactly as in the
-  paper.
+  bare results back on the uplink, one result batch per argument batch.
+* Each input row maps to a slot in one reply — the batch that carries its
+  arguments and the offset there — or, for an argument shipped by an earlier
+  plan segment, to the carried result cache.  Once every reply is in, the
+  results are joined back onto the (possibly argument-sorted) input.
+
+The paper's pipeline concurrency factor F bounds the argument rows awaiting
+results: a second :class:`~repro.core.execution.overlap.InFlightWindow`,
+counted in rows, admits a new argument tuple only while fewer than F rows —
+including the ones pending in the unsent batch — are unanswered, and each
+reply frees its batch's rows.  A factor of 1 degenerates to tuple-at-a-time
+execution, exactly as in the paper.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.client.protocol import ArgumentBatch, RemoteCall, ResultBatch
 from repro.core.concurrency import recommended_batched_concurrency_factor
 from repro.core.execution.base import RemoteUdfOperator
-from repro.network.message import MessageKind, batch_message, end_of_stream
-from repro.network.resources import Store
+from repro.core.execution.overlap import InFlightWindow
 from repro.relational.tuples import Row, RowBatch
-
-#: Sentinel marking the end of the record stream between sender and receiver.
-_DONE = object()
-
-
-class SemiJoinSegmentState:
-    """Duplicate-elimination state a semi-join carries across plan segments.
-
-    Segmented (adaptive / migrating) executions run one plain semi-join
-    operator per segment.  Without shared state each segment re-ships the
-    argument tuples earlier segments already eliminated — the client's result
-    cache still answers them without re-invoking the UDF, but the wire pays
-    the argument and result bytes again and ``rows_transferred`` double
-    counts.  One instance of this state per (UDF, query) makes the segment
-    sequence byte-identical to a single unsegmented semi-join run:
-    ``seen`` is the sender's already-shipped argument set, ``results`` the
-    receiver's server-side result cache for those arguments.
-    """
-
-    __slots__ = ("seen", "results")
-
-    def __init__(self) -> None:
-        self.seen: set = set()
-        self.results: Dict[Tuple[Any, ...], Any] = {}
 
 
 class SemiJoinUdfOperator(RemoteUdfOperator):
     """Pipelined semi-join between the input relation and the virtual UDF table.
 
-    ``carry_state`` (a :class:`SemiJoinSegmentState`) plugs in externally
-    owned duplicate-elimination state, so segmented executions do not re-ship
-    arguments an earlier segment already resolved; ``None`` keeps the
-    operator self-contained.
+    ``carry_state`` (the ``{arguments: result}`` dict the segments of one
+    adaptive execution share) plugs in externally owned duplicate-elimination
+    state, so segmented executions do not re-ship arguments an earlier
+    segment already resolved; ``None`` keeps the operator self-contained.
     """
 
-    def __init__(self, *args, carry_state: Optional[SemiJoinSegmentState] = None, **kwargs) -> None:
+    def __init__(
+        self, *args, carry_state: Optional[Dict[Tuple[Any, ...], Any]] = None, **kwargs
+    ) -> None:
         super().__init__(*args, **kwargs)
         self.carry_state = carry_state
 
@@ -99,9 +75,6 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
         )
 
     def _drive(self, batch: RowBatch):
-        simulator = self.context.simulator
-        channel = self.context.channel
-
         if self.config.sort_by_arguments:
             batch, arguments_list = self.sorted_batch_by_arguments(batch)
         else:
@@ -109,9 +82,9 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
         sizer = self.argument_sizer(batch)
 
         factor = self.effective_concurrency_factor(batch[0] if len(batch) else None)
-        # A batch only leaves the sender once it is full, so the pipeline must
-        # admit at least one whole batch or the sender would block on a slot
-        # while holding an unsent batch (deadlock).  An explicitly pinned
+        # A batch only leaves the sender once it is full, so the row window
+        # must admit at least one whole batch or the sender would wait for a
+        # row while holding an unsent batch (deadlock).  An explicitly pinned
         # concurrency factor is otherwise respected as configured; the
         # analytic path already double-buffers (two batches) on its own.
         # Under adaptive control the window instead *tracks* the controller:
@@ -123,121 +96,58 @@ class SemiJoinUdfOperator(RemoteUdfOperator):
             factor = max(factor, 2 * self.next_batch_size())
         else:
             factor = max(factor, self.config.batch_size_for(self.udf.name))
-        self.concurrency_factor_used = factor
-
-        call = RemoteCall(
-            udf_name=self.udf.name,
-            argument_positions=tuple(range(len(self.argument_columns))),
+        rows = InFlightWindow(
+            self.context.simulator, capacity=factor, name="semijoin.rows"
         )
-        # Records whose arguments have been shipped but whose results have not
-        # yet been received occupy a slot here; capacity = concurrency factor.
-        in_flight = Store(simulator, capacity=factor, name="semijoin.pipeline")
-        # The record stream handed from sender to receiver (unbounded: records
-        # are small server-side state, the pipeline is what is bounded).
-        records = Store(simulator, name="semijoin.records")
-        # The shared protocol's *batch*-level window, layered over the tuple
-        # pipeline: historically the semi-join sender streams any batch the
-        # pipeline admits, so the default is unbounded; an explicit
+
+        cache: Optional[Dict[Tuple[Any, ...], Any]] = None
+        if self.config.eliminate_duplicates:
+            cache = self.carry_state if self.carry_state is not None else {}
+        # How each input row resolves, in input order (see ``resolve``).
+        resolution: List[Tuple[Tuple[Any, ...], Optional[int], int]] = []
+
+        def requests():
+            pending: List[Tuple[Any, ...]] = []
+            shipped: Dict[Tuple[Any, ...], Tuple[int, int]] = {}
+            sent = 0
+            for arguments in arguments_list:
+                if cache is not None:
+                    if arguments in cache:
+                        resolution.append((arguments, None, 0))
+                        continue
+                    slot = shipped.get(arguments)
+                    if slot is not None:
+                        resolution.append((arguments,) + slot)
+                        continue
+                    shipped[arguments] = (sent, len(pending))
+                # Read the target before admitting the row: an adaptive
+                # controller may have changed it since the last flush, and
+                # the row window must stay double-buffered at the current
+                # target before the row waits, or a grown batch could wait
+                # for a row while holding an unsent batch (deadlock).
+                target = self.next_batch_size()
+                if adaptive and 2 * target > rows.capacity:
+                    rows.resize(2 * target)
+                if not rows.try_acquire():
+                    yield rows.acquire()
+                resolution.append((arguments, sent, len(pending)))
+                pending.append(arguments)
+                if len(pending) >= target:
+                    yield self.argument_message(pending, sizer, "semijoin"), len(pending)
+                    sent += 1
+                    pending = []
+            if pending:
+                yield self.argument_message(pending, sizer, "semijoin"), len(pending)
+
+        # Historically the semi-join sender streams any batch the row window
+        # admits, so the batch window defaults to unbounded; an explicit
         # overlap_window (or its controller) bounds the argument batches
         # outstanding on the wire directly.
-        window = self.make_window(default=None)
-
-        eliminate = self.config.eliminate_duplicates
-
-        carried = self.carry_state if eliminate else None
-
-        def sender():
-            seen: set = carried.seen if carried is not None else set()
-            pending_batch: List[Tuple[Any, ...]] = []
-
-            def flush():
-                if not pending_batch:
-                    return None
-                message = batch_message(
-                    MessageKind.UDF_ARGUMENTS,
-                    ArgumentBatch(call=call, argument_tuples=list(pending_batch)),
-                    payload_bytes=sizer(pending_batch),
-                    row_count=len(pending_batch),
-                    description=f"semijoin {self.udf.name} x{len(pending_batch)}",
-                )
-                pending_batch.clear()
-                return message
-
-            for arguments in arguments_list:
-                is_new = True
-                if eliminate:
-                    is_new = arguments not in seen
-                    if is_new:
-                        seen.add(arguments)
-                yield records.put((arguments, is_new))
-                if is_new:
-                    # Re-read the target at every batch boundary: an adaptive
-                    # controller may have changed it since the last flush.
-                    # The window must stay double-buffered at the current
-                    # target *before* the put, or a grown batch could block
-                    # on a slot while holding an unsent batch (deadlock).
-                    target = self.next_batch_size()
-                    if adaptive:
-                        in_flight.grow_capacity(2 * target)
-                    yield in_flight.put(arguments)
-                    pending_batch.append(arguments)
-                    if len(pending_batch) >= target:
-                        self.refresh_window(window)
-                        yield window.acquire()
-                        yield channel.send_to_client(flush())
-            message = flush()
-            if message is not None:
-                self.refresh_window(window)
-                yield window.acquire()
-                yield channel.send_to_client(message)
-            yield records.put(_DONE)
-            yield channel.send_to_client(end_of_stream())
-
-        def receiver():
-            results: List[Any] = []
-            result_cache: Dict[Tuple[Any, ...], Any] = (
-                carried.results if carried is not None else {}
-            )
-            pending_results: Deque[Any] = deque()
-            distinct_arguments = set()
-
-            while True:
-                item = yield records.get()
-                if item is _DONE:
-                    break
-                arguments, is_new = item
-                distinct_arguments.add(arguments)
-                if is_new:
-                    while not pending_results:
-                        reply = yield channel.receive_at_server()
-                        self.check_reply(reply)
-                        window.release()
-                        result_batch: ResultBatch = reply.payload
-                        pending_results.extend(result_batch.results)
-                        self.observe_batch(len(result_batch.results))
-                    result = pending_results.popleft()
-                    result_cache[arguments] = result
-                    yield in_flight.get()
-                else:
-                    result = result_cache[arguments]
-                results.append(result)
-
-            # Absorb the client's end-of-stream acknowledgement.
-            yield channel.receive_at_server()
-            self.distinct_argument_count = len(distinct_arguments)
-            return results
-
-        sender_process = simulator.process(sender(), name="semijoin.sender")
-        receiver_process = simulator.process(receiver(), name="semijoin.receiver")
-        # Wait for the receiver first: if the client reports a failure the
-        # receiver raises immediately, even while the sender is still blocked
-        # on a pipeline slot that will never be released.
-        results = yield receiver_process
-        yield sender_process
-        self.peak_pipeline_occupancy = in_flight.peak_occupancy
+        replies = yield from self.ship(requests(), rows=rows)
+        self.peak_pipeline_occupancy = rows.peak_in_flight
         # The window may have grown with the controller; report what it ended at.
-        self.concurrency_factor_used = int(in_flight.capacity)
-        self.finish_window(window)
-        # Results arrive in record order — the (possibly argument-sorted)
-        # input order — so the output is the input batch plus one column.
-        return self.extended_batch(batch, results)
+        self.concurrency_factor_used = int(rows.capacity)
+        self.distinct_argument_count = len(set(arguments_list))
+        # Results come back in the (possibly argument-sorted) input order, so
+        # the output is the input batch plus one column.
+        return self.extended_batch(batch, self.resolve(resolution, replies, cache))

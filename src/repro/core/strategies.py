@@ -25,8 +25,8 @@ class ExecutionStrategy(enum.Enum):
       (Section 2.1).
     * ``SEMI_JOIN`` — ship only (duplicate-free) argument columns to the
       client and join the returned results back onto the buffered records;
-      a sender/receiver pair with a bounded pipeline hides network latency
-      (Sections 2.3.1 and 3.1.1).
+      a sender/receiver pair that keeps up to F argument rows awaiting
+      results hides network latency (Sections 2.3.1 and 3.1.1).
     * ``CLIENT_SITE_JOIN`` — ship whole records to the client, evaluate the
       UDF there together with any pushable predicates and projections, and
       ship only the surviving, projected rows back (Sections 2.3.2 and 3.1.3).
@@ -49,9 +49,11 @@ class StrategyConfig:
     strategy:
         Which algorithm to run.
     concurrency_factor:
-        The pipeline concurrency factor of the semi-join (Section 3.1.2):
-        the maximum number of argument tuples in flight between sender and
-        receiver.  ``None`` lets the engine pick the analytic optimum B·T.
+        The pipeline concurrency factor F of the semi-join (Section 3.1.2):
+        the maximum number of argument rows awaiting results — shipped, or
+        pending in the batch the sender is filling — at any instant.  It is
+        counted in rows whatever the batch size, and raised to at least one
+        batch.  ``None`` lets the engine pick the analytic optimum B·T.
     batch_size:
         Number of rows per network message for every strategy: argument
         tuples per downlink message for the semi-join and naive strategies,
@@ -115,9 +117,10 @@ class StrategyConfig:
     #: many request batches may be outstanding on the wire at once, for every
     #: strategy.  ``None`` keeps each strategy's historical default — the
     #: naive strategy ships synchronously (window 1), the semi-join and the
-    #: client-site join stream freely (their overlap is governed by the tuple
-    #: pipeline and the downlink respectively).  An explicit window also pins
-    #: the strategy against the adaptive overlap controller.
+    #: client-site join stream freely (their overlap is governed by the
+    #: argument rows awaiting results, ``concurrency_factor``, and by the
+    #: downlink respectively).  An explicit window also pins the strategy
+    #: against the adaptive overlap controller.
     overlap_window: Optional[int] = None
     #: An :class:`~repro.adaptive.controller.OverlapWindowController` that
     #: adapts the in-flight window *mid-query* on observed throughput, the

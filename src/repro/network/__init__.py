@@ -6,8 +6,8 @@ those links with a small, deterministic discrete-event simulator:
 
 * :mod:`repro.network.simulator` / :mod:`repro.network.events` — a
   coroutine-based simulation kernel (processes, timeouts, events);
-* :mod:`repro.network.resources` — bounded stores used for mailboxes and the
-  semi-join pipeline buffer;
+* :mod:`repro.network.resources` — unbounded FIFO stores used as the
+  mailboxes at each end of a channel;
 * :mod:`repro.network.link` — directed links with bandwidth and propagation
   latency, byte-accurate accounting;
 * :mod:`repro.network.channel` — a duplex client/server channel (downlink +

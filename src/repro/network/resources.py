@@ -1,51 +1,39 @@
-"""Simulation resources: bounded FIFO stores.
+"""Simulation resources: unbounded FIFO mailboxes.
 
-A :class:`Store` is the synchronisation primitive used throughout the
-execution strategies:
-
-* the *pipeline buffer* between the semi-join sender and receiver is a store
-  whose capacity is the pipeline concurrency factor (Section 3.1.2);
-* mailboxes at each end of a channel are unbounded stores that messages are
-  delivered into.
-
-``put`` blocks (the putting process waits) while the store is full; ``get``
-blocks while it is empty.  Both are FIFO, preserving stream order.
+A :class:`Store` is the mailbox at each end of a channel (and the default
+destination of a bare link): messages are delivered into it and the
+receiving process takes them out in arrival order.  ``put`` never blocks;
+``get`` blocks while the store is empty.  Flow control lives elsewhere — in
+the shipping protocol's :class:`~repro.core.execution.overlap.InFlightWindow`.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from typing import Any, Deque, Tuple
+from typing import Any, Deque
 
-from repro.errors import SimulationError
 from repro.network.events import Event
 
 
 class Store:
-    """A bounded FIFO buffer usable from simulation processes."""
+    """An unbounded FIFO mailbox usable from simulation processes."""
 
-    def __init__(self, simulator: "Simulator", capacity: float = math.inf, name: str = "") -> None:  # noqa: F821
-        if capacity <= 0:
-            raise SimulationError("Store capacity must be positive")
+    def __init__(self, simulator: "Simulator", name: str = "") -> None:  # noqa: F821
         self.simulator = simulator
-        self.capacity = capacity
         self.name = name or "Store"
         self._items: Deque[Any] = deque()
-        self._put_waiters: Deque[Tuple[Event, Any]] = deque()
         self._get_waiters: Deque[Event] = deque()
-        # Instrumentation: peak occupancy tells us the effective pipeline
-        # concurrency actually reached during a run.
-        self.peak_occupancy = 0
         self.total_puts = 0
         self.total_gets = 0
 
     # -- operations -----------------------------------------------------------------
 
     def put(self, item: Any) -> Event:
-        """Return an event that fires once ``item`` has entered the store."""
+        """Deposit ``item``; returns an event that fires once it is in the store."""
         event = Event(self.simulator, name=f"{self.name}.put")
-        self._put_waiters.append((event, item))
+        self._items.append(item)
+        self.total_puts += 1
+        event.succeed()
         self._dispatch()
         return event
 
@@ -56,32 +44,11 @@ class Store:
         self._dispatch()
         return event
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when the store is full."""
-        if len(self._items) >= self.capacity and not self._get_waiters:
-            return False
-        self.put(item)
-        return True
-
-    def grow_capacity(self, capacity: float) -> None:
-        """Raise the capacity to ``capacity`` (never shrinks), waking putters.
-
-        Used by adaptive executions whose batch size — and hence the pipeline
-        window needed for deadlock freedom — grows mid-run.
-        """
-        if capacity > self.capacity:
-            self.capacity = capacity
-            self._dispatch()
-
     # -- introspection ----------------------------------------------------------------
 
     @property
     def occupancy(self) -> int:
         return len(self._items)
-
-    @property
-    def waiting_putters(self) -> int:
-        return len(self._put_waiters)
 
     @property
     def waiting_getters(self) -> int:
@@ -90,26 +57,10 @@ class Store:
     # -- internal ------------------------------------------------------------------------
 
     def _dispatch(self) -> None:
-        """Move items between waiters and the buffer until no progress is possible."""
-        progress = True
-        while progress:
-            progress = False
-            if self._put_waiters and len(self._items) < self.capacity:
-                event, item = self._put_waiters.popleft()
-                self._items.append(item)
-                self.total_puts += 1
-                self.peak_occupancy = max(self.peak_occupancy, len(self._items))
-                event.succeed()
-                progress = True
-            if self._get_waiters and self._items:
-                event = self._get_waiters.popleft()
-                item = self._items.popleft()
-                self.total_gets += 1
-                event.succeed(item)
-                progress = True
+        """Hand buffered items to waiting getters, oldest first."""
+        while self._get_waiters and self._items:
+            self.total_gets += 1
+            self._get_waiters.popleft().succeed(self._items.popleft())
 
     def __repr__(self) -> str:
-        return (
-            f"Store({self.name!r}, occupancy={len(self._items)}, "
-            f"capacity={self.capacity}, peak={self.peak_occupancy})"
-        )
+        return f"Store({self.name!r}, occupancy={len(self._items)})"

@@ -180,30 +180,6 @@ class TestStore:
         sim.run()
         assert consumer_process.value == [0, 1, 2, 3, 4]
 
-    def test_bounded_capacity_blocks_producer(self):
-        sim = Simulator()
-        store = Store(sim, capacity=2)
-        timeline = []
-
-        def producer():
-            for value in range(4):
-                yield store.put(value)
-                timeline.append(("put", value, sim.now))
-
-        def consumer():
-            for _ in range(4):
-                yield sim.timeout(1.0)
-                item = yield store.get()
-                timeline.append(("get", item, sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        puts = [entry for entry in timeline if entry[0] == "put"]
-        # The third put can only happen after the first get at t=1.
-        assert puts[2][2] >= 1.0
-        assert store.peak_occupancy == 2
-
     def test_get_blocks_until_put(self):
         sim = Simulator()
         store = Store(sim)
@@ -220,17 +196,6 @@ class TestStore:
         sim.process(producer())
         sim.run()
         assert consumer_process.value == ("late", 2.0)
-
-    def test_try_put_respects_capacity(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        assert store.try_put("a") is True
-        sim.run()
-        assert store.try_put("b") is False
-
-    def test_invalid_capacity(self):
-        with pytest.raises(SimulationError):
-            Store(Simulator(), capacity=0)
 
     def test_counters(self):
         sim = Simulator()

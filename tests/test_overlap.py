@@ -7,7 +7,7 @@ Covers the two layers of the columnar/overlap refactor:
   ``size_bytes``;
 * the shared :class:`~repro.core.execution.overlap.InFlightWindow` protocol —
   a window of 1 reproduces the synchronous wire trace, the in-flight count
-  never exceeds the window (or the semi-join's pipeline-buffer capacity),
+  never exceeds the window (or the semi-join's concurrency factor),
   overlapped shipping beats synchronous shipping on a high-latency link, and
   the adaptive overlap controller moves the window mid-query.
 """
@@ -50,7 +50,7 @@ def config_for(strategy, batch_size=4, overlap_window=None):
     if strategy is ExecutionStrategy.NAIVE:
         return StrategyConfig.naive(batch_size=batch_size, overlap_window=overlap_window)
     if strategy is ExecutionStrategy.SEMI_JOIN:
-        # Pin a roomy tuple pipeline so the batch window is the binding knob.
+        # Pin a roomy row window so the batch window is the binding knob.
         return StrategyConfig.semi_join(
             batch_size=batch_size, concurrency_factor=64, overlap_window=overlap_window
         )
@@ -169,6 +169,48 @@ class TestInFlightWindow:
         # The third and fourth acquisitions each waited one second.
         assert window.stall_seconds == pytest.approx(2.0)
 
+    def test_weighted_acquire_waits_until_enough_units_are_released(self):
+        simulator = Simulator()
+        window = InFlightWindow(simulator, capacity=4)
+        granted = []
+
+        def sender():
+            yield window.acquire(3)
+            granted.append(("three", simulator.now))
+            yield window.acquire(3)
+            granted.append(("three more", simulator.now))
+
+        def releaser():
+            yield simulator.timeout(1.0)
+            window.release(1)  # 2 in flight: three more still do not fit
+            yield simulator.timeout(1.0)
+            window.release(2)
+
+        simulator.process(sender())
+        simulator.process(releaser())
+        simulator.run()
+        assert granted == [("three", 0.0), ("three more", 2.0)]
+        assert window.in_flight == 3
+        assert window.peak_in_flight == 3
+        assert window.stall_seconds == pytest.approx(2.0)
+
+    def test_try_acquire_schedules_nothing_and_respects_waiters(self):
+        simulator = Simulator()
+        window = InFlightWindow(simulator, capacity=2)
+        assert window.try_acquire() is True
+        assert window.try_acquire() is True
+        assert simulator.pending_events == 0
+        assert window.try_acquire() is False
+        waiter = window.acquire()
+        window.release()
+        # The queued waiter took the freed unit; a later try must not jump it.
+        assert waiter.triggered
+        assert window.try_acquire() is False
+        window.release(2)
+        assert window.in_flight == 0
+        assert window.try_acquire(2) is True
+        assert window.peak_in_flight == 2
+
     def test_resize_grows_and_shrinks(self):
         simulator = Simulator()
         window = InFlightWindow(simulator, capacity=1)
@@ -283,9 +325,9 @@ class TestWindowBound:
         assert remote.overlap_window_used == window
 
     def test_semi_join_window_never_exceeds_pipeline_capacity(self):
-        """The batch window is layered over the tuple pipeline: tuples in
-        flight stay bounded by the pipeline-buffer capacity whatever the
-        window admits."""
+        """The batch window is layered over the semi-join's row window:
+        argument rows awaiting results stay bounded by the concurrency
+        factor whatever the batch window admits."""
         workload = make_workload(row_count=48)
         table = workload.build_table()
         registry = workload.build_registry()
@@ -309,8 +351,8 @@ class TestWindowBound:
         )
         operator.run()
         assert operator.peak_pipeline_occupancy <= factor
-        # 12 pipeline slots hold at most 3 four-row batches: the window
-        # never outruns the pipeline buffer.
+        # 12 rows hold at most 3 four-row batches: the batch window never
+        # outruns the row window.
         assert operator.peak_in_flight_batches <= math.ceil(factor / 4)
 
 

@@ -14,6 +14,7 @@ from repro.adaptive import (
     SwitchPolicy,
 )
 from repro.core.costmodel import CostModel, CostParameters
+from repro.core.execution.overlap import InFlightWindow
 from repro.core.strategies import ExecutionStrategy, StrategyConfig
 from repro.network.resources import Store
 from repro.network.simulator import Simulator
@@ -95,35 +96,57 @@ def test_filter_partition_is_complete(values):
 
 
 # ---------------------------------------------------------------------------
-# Simulation store (FIFO buffer) invariants
+# Flow control: weighted in-flight window over a FIFO mailbox
 # ---------------------------------------------------------------------------
 
 
 @given(
-    st.lists(st.integers(), min_size=1, max_size=30),
-    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda capacity: st.tuples(
+            st.just(capacity),
+            st.lists(
+                st.tuples(st.integers(), st.integers(min_value=1, max_value=capacity)),
+                min_size=1,
+                max_size=30,
+            ),
+        )
+    ),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=5),
 )
 @settings(max_examples=40, deadline=None)
-def test_store_preserves_fifo_order_for_any_capacity(items, capacity):
+def test_store_preserves_fifo_order_for_any_capacity(case, delays):
+    """A producer admits weighted items through an ``InFlightWindow`` into a
+    ``Store``; a slower consumer releases each item's weight once it is
+    taken.  The window never holds more than its capacity, and the store
+    hands items over in the order they were put."""
+    capacity, items = case
     sim = Simulator()
-    store = Store(sim, capacity=capacity)
+    window = InFlightWindow(sim, capacity=capacity)
+    store = Store(sim)
 
     def producer():
-        for item in items:
-            yield store.put(item)
+        for item, weight in items:
+            if not window.try_acquire(weight):
+                yield window.acquire(weight)
+            assert window.in_flight <= capacity
+            yield store.put((item, weight))
 
     def consumer():
         received = []
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
+        for index in range(len(items)):
+            yield sim.timeout(delays[index % len(delays)])
+            item, weight = yield store.get()
+            window.release(weight)
+            received.append((item, weight))
         return received
 
-    sim.process(producer())
+    producer_process = sim.process(producer())
     consumer_process = sim.process(consumer())
     sim.run()
+    assert producer_process.ok
     assert consumer_process.value == items
-    assert store.peak_occupancy <= capacity
+    assert window.peak_in_flight <= capacity
+    assert window.in_flight == 0
 
 
 # ---------------------------------------------------------------------------
