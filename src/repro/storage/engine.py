@@ -7,11 +7,14 @@ for tables.  It is the single integration point a
 to: create/open/drop tables and secondary indexes, fetch catalog
 statistics, observe scans, and flush everything at query boundaries.
 
-Secondary indexes are maintained incrementally: the storage backend's
-insert/delete callbacks fan out to every index on the table, and reopened
-databases revalidate each index's persisted entry count against its meta
-page, rebuilding from the heap when they disagree (e.g. after a crash that
-lost index writes but kept heap pages).
+Secondary indexes are built and rebuilt by one loader, :meth:`_load_index`,
+which bulk-loads the index from the heap in a single pass; ``CREATE INDEX``
+and the rebuild on reopen both go through it.  Reopened databases
+revalidate each index's persisted entry count against its meta page and
+reload from the heap when they disagree (e.g. after a crash that lost index
+writes but kept heap pages).  Per-row maintenance is for writes only: the
+storage backend's insert/delete callbacks fan out to every index on the
+table.
 """
 
 from __future__ import annotations
@@ -170,14 +173,18 @@ class StorageEngine:
         storage = self.open_table(table)
         definition = IndexDefinition(name=name, table=table, column=column, kind=kind)
         self.metadata.create_index(definition)
-        position = self._column_position(table, column)
         handle = open_index(self.buffers, definition)
-        for rid, values in storage.rows_with_rids():
-            handle.insert(values[position], rid)
+        self._load_index(handle, storage)
         self._indexes[name.lower()] = handle
-        self.metadata.set_index_state(name, handle.entry_count, handle.incomplete)
         self.metadata.flush()
         return handle
+
+    def _load_index(self, handle: IndexHandle, storage: PagedTableStorage) -> None:
+        """Bulk-load ``handle`` from the heap and record its state in the catalog."""
+        definition = handle.definition
+        position = self._column_position(definition.table, definition.column)
+        handle.rebuild((values[position], rid) for rid, values in storage.rows_with_rids())
+        self.metadata.set_index_state(definition.name, handle.entry_count, handle.incomplete)
 
     def drop_index(self, name: str) -> None:
         definition = self.metadata.drop_index(name)
@@ -226,13 +233,7 @@ class StorageEngine:
             self.files.delete(definition.file_name)
             handle = open_index(self.buffers, definition)
         if handle.entry_count != expected_entries:
-            position = self._column_position(definition.table, definition.column)
-            handle.rebuild(
-                (values[position], rid) for rid, values in storage.rows_with_rids()
-            )
-            self.metadata.set_index_state(
-                definition.name, handle.entry_count, handle.incomplete
-            )
+            self._load_index(handle, storage)
         self._indexes[key] = handle
 
     # -- statistics --------------------------------------------------------------

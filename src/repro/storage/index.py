@@ -15,13 +15,27 @@ B-tree layout (``<table>.<index>.btx``):
   from offset 4).  A leaf is ``(1, next_leaf, [(key, block, slot), ...])``
   with leaves chained left to right for range scans; an internal node is
   ``(0, first_child, [(key, child), ...])`` where ``child`` serves keys
-  ``>= key`` and ``first_child`` everything smaller.
+  ``>= key`` and ``first_child`` everything smaller.  Equal keys may also
+  end the left sibling (a split or a load can cut a run of duplicates), so
+  descents go left of an equal separator and lookups walk the leaf chain
+  forward from there.
 
 Hash layout (``<table>.<index>.hsx``): block 0 is the meta page, blocks
 ``1..buckets`` are bucket heads, each a chain page ``(next_block,
 length, payload)`` whose payload is ``[(encoded_key, block, slot), ...]``.
 Bucketing hashes ``crc32(encode_value(key))`` — deliberately not Python's
 process-randomised ``hash()`` — so a reopened database hashes identically.
+
+Both kinds are built by one bulk load, :meth:`rebuild`, used for an empty
+index as well as ``CREATE INDEX`` and the rebuild on reopen.  The B-tree
+sorts its postings by ``(sort_key, rid)``, packs leaves greedily up to the
+node limits, and builds each internal level bottom-up from the first key
+of every child.  The hash index places entries first-fit along their
+bucket's chain in memory, exactly as :meth:`HashIndex.insert` would, so
+the chains match an insert-by-insert build page for page; only overflow
+block numbers differ.  Either writes each page once and the meta page
+last.  ``insert`` and ``delete`` maintain an index row by row as the
+table changes.
 
 Keys are compared by ``(type_rank, value)`` so mixed numeric/string/bytes
 columns still order totally; ``None`` keys are never indexed (an equality
@@ -32,7 +46,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferManager
@@ -141,27 +155,10 @@ class BTreeIndex(_PagedIndex):
     def __init__(self, buffers: BufferManager, definition: IndexDefinition) -> None:
         super().__init__(buffers, definition)
         if self.block_count() == 0:
-            self._initialise()
+            self.rebuild(())
         meta = self._read_meta(_BTREE_MAGIC)
         self.root, self.height, self.entry_count, self.leaf_count, flag = meta[:5]
         self.incomplete = bool(flag)
-
-    def _initialise(self) -> None:
-        meta = self._pin_new()  # block 0
-        try:
-            meta.mark_dirty()
-        finally:
-            self.buffers.unpin(meta)
-        root = self._pin_new()  # block 1: an empty leaf
-        try:
-            self._encode_node(root.page, (1, -1, []))
-            root.mark_dirty()
-            root_number = root.block.number
-        finally:
-            self.buffers.unpin(root)
-        self.root, self.height, self.entry_count, self.leaf_count = root_number, 1, 0, 1
-        self.incomplete = False
-        self._save_meta()
 
     def _save_meta(self) -> None:
         self._write_meta(
@@ -315,12 +312,17 @@ class BTreeIndex(_PagedIndex):
     # -- lookup ------------------------------------------------------------------
 
     def _descend_to_leaf(self, sk: Tuple[int, Any]) -> int:
+        """The leaf a forward scan for keys ``>= sk`` starts from.
+
+        Copies of a separator's key may also end its left sibling, so the
+        descent stops left of an equal separator and the caller walks on.
+        """
         number, depth = self.root, self.height
         while depth > 1:
             _, pointer, entries = self._read_node(number)
             child = pointer
             for existing, child_block in entries:
-                if sk >= sort_key(existing):
+                if sort_key(existing) < sk:
                     child = child_block
                 else:
                     break
@@ -372,12 +374,65 @@ class BTreeIndex(_PagedIndex):
 
     # -- bulk / introspection ----------------------------------------------------
 
-    def rebuild(self, pairs: Iterator[Tuple[Any, RecordId]]) -> None:
-        """Drop and re-create the index from ``(key, rid)`` pairs."""
-        self.delete_file()
-        self._initialise()
+    def rebuild(self, pairs: Iterable[Tuple[Any, RecordId]]) -> None:
+        """Drop the file and bulk-load it from ``(key, rid)`` pairs.
+
+        Postings are sorted by ``(sort_key, rid)`` and packed into leaves
+        left to right; each internal level is then built bottom-up, every
+        child separated by its first key.  Each page is written once, the
+        meta page last.
+        """
+        self.incomplete = False
+        postings = []
         for key, rid in pairs:
-            self.insert(key, rid)
+            if key is None:
+                continue
+            try:
+                postings.append((sort_key(key), rid[0], rid[1], key))
+            except TypeError:
+                self.incomplete = True
+        postings.sort()
+        leaves = self._pack([(key, block, slot) for _, block, slot, key in postings], leaf=True)
+
+        self.delete_file()
+        self.buffers.unpin(self._pin_new())  # block 0: the meta page, written last
+        first = self.block_count()  # leaves take consecutive blocks from here
+        level = []
+        for i, entries in enumerate(leaves):
+            next_leaf = first + i + 1 if i + 1 < len(leaves) else -1
+            number = self._allocate_node((1, next_leaf, entries))
+            level.append((entries[0][0] if entries else None, number))
+        self.height = 1
+        while len(level) > 1:
+            level = [
+                (run[0][0], self._allocate_node((0, run[0][1], run[1:])))
+                for run in self._pack(level, leaf=False)
+            ]
+            self.height += 1
+        self.root = level[0][1]
+        self.entry_count, self.leaf_count = len(postings), len(leaves)
+        self._save_meta()
+
+    def _pack(self, items: List[tuple], leaf: bool) -> List[List[tuple]]:
+        """Split ``items`` greedily into runs that each fill one node.
+
+        A run stops at ``_MAX_NODE_ENTRIES`` entries or at the page's byte
+        capacity, the limits :meth:`_node_overflows` enforces.  An internal
+        node's first child sits in its pointer field and costs no entry.
+        """
+        room = self._node_capacity() - len(encode_record((int(leaf), -1, [])))
+        runs: List[List[tuple]] = []
+        count = used = 0
+        for item in items:
+            width = len(encode_value(item))
+            if not runs or count == _MAX_NODE_ENTRIES or used + width > room:
+                runs.append([item])
+                count, used = (1, width) if leaf else (0, 0)
+            else:
+                runs[-1].append(item)
+                count += 1
+                used += width
+        return runs or [[]]
 
     def average_leaf_entries(self) -> float:
         return self.entry_count / max(1, self.leaf_count)
@@ -404,26 +459,11 @@ class HashIndex(_PagedIndex):
     ) -> None:
         super().__init__(buffers, definition)
         if self.block_count() == 0:
-            self._initialise(buckets)
+            self.buckets = buckets
+            self.rebuild(())
         meta = self._read_meta(_HASH_MAGIC)
         self.buckets, self.entry_count, flag = meta[:3]
         self.incomplete = bool(flag)
-
-    def _initialise(self, buckets: int) -> None:
-        meta = self._pin_new()
-        try:
-            meta.mark_dirty()
-        finally:
-            self.buffers.unpin(meta)
-        for _ in range(buckets):
-            buffer = self._pin_new()
-            try:
-                self._write_chain_page(buffer.page, 0, [])
-                buffer.mark_dirty()
-            finally:
-                self.buffers.unpin(buffer)
-        self.buckets, self.entry_count, self.incomplete = buckets, 0, False
-        self._save_meta()
 
     def _save_meta(self) -> None:
         self._write_meta(
@@ -434,7 +474,7 @@ class HashIndex(_PagedIndex):
 
     def _write_chain_page(self, page, next_block: int, entries: List[tuple]) -> None:
         payload = encode_record(entries)
-        if len(payload) > self.buffers.file_manager.block_size - 8:
+        if len(payload) > self._chain_room():
             raise StorageError(
                 f"hash chain page overflow in {self.file_name!r} "
                 f"({len(payload)} bytes)"
@@ -454,8 +494,20 @@ class HashIndex(_PagedIndex):
         values, _ = decode_record(payload)
         return next_block, [tuple(entry) for entry in values]
 
+    def _chain_room(self) -> int:
+        return self.buffers.file_manager.block_size - 8
+
     def _chain_fits(self, entries: List[tuple]) -> bool:
-        return len(encode_record(entries)) <= self.buffers.file_manager.block_size - 8
+        return len(encode_record(entries)) <= self._chain_room()
+
+    def _append_chain_page(self, next_block: int, entries: List[tuple]) -> int:
+        buffer = self._pin_new()
+        try:
+            self._write_chain_page(buffer.page, next_block, entries)
+            buffer.mark_dirty()
+            return buffer.block.number
+        finally:
+            self.buffers.unpin(buffer)
 
     def _bucket_block(self, key_bytes: bytes) -> int:
         return 1 + (zlib.crc32(key_bytes) % self.buckets)
@@ -499,13 +551,7 @@ class HashIndex(_PagedIndex):
             if next_block:
                 number = next_block
                 continue
-            overflow = self._pin_new()
-            try:
-                self._write_chain_page(overflow.page, 0, [(key_bytes, rid[0], rid[1])])
-                overflow.mark_dirty()
-                overflow_number = overflow.block.number
-            finally:
-                self.buffers.unpin(overflow)
+            overflow_number = self._append_chain_page(0, [(key_bytes, rid[0], rid[1])])
             self._rewrite_chain_page(number, overflow_number, entries)
             break
         self.entry_count += 1
@@ -557,12 +603,50 @@ class HashIndex(_PagedIndex):
             number = next_block
         return result
 
-    def rebuild(self, pairs: Iterator[Tuple[Any, RecordId]]) -> None:
-        buckets = self.buckets
-        self.delete_file()
-        self._initialise(buckets)
+    def rebuild(self, pairs: Iterable[Tuple[Any, RecordId]]) -> None:
+        """Drop the file and bulk-load it from ``(key, rid)`` pairs.
+
+        Each entry goes first-fit along its bucket's chain in input order,
+        as :meth:`insert` places it, but in memory; then every chain page is
+        written once.  Bucket heads keep blocks ``1..buckets`` and overflow
+        pages follow, bucket by bucket.
+        """
+        self.incomplete = False
+        room = self._chain_room()
+        empty = len(encode_record([]))
+        # Per bucket, its chain's pages as ``[payload bytes, entries]``.
+        chains = [[[empty, []]] for _ in range(self.buckets)]
         for key, rid in pairs:
-            self.insert(key, rid)
+            if key is None:
+                continue
+            key_bytes = self._encode_key(key)
+            if key_bytes is None:
+                self.incomplete = True
+                continue
+            entry = (key_bytes, rid[0], rid[1])
+            width = len(encode_value(entry))
+            chain = chains[self._bucket_block(key_bytes) - 1]
+            page = next((page for page in chain if page[0] + width <= room), None)
+            if page is None:
+                page = [empty, []]
+                chain.append(page)
+            page[0] += width
+            page[1].append(entry)
+
+        self.delete_file()
+        self.buffers.unpin(self._pin_new())  # block 0: the meta page, written last
+        heads, overflow = [], []
+        spare = 1 + self.buckets
+        for chain in chains:
+            links = list(range(spare, spare + len(chain) - 1))
+            spare += len(links)
+            pages = [(next_block, entries) for (_, entries), next_block in zip(chain, links + [0])]
+            heads.append(pages[0])
+            overflow.extend(pages[1:])
+        for next_block, entries in heads + overflow:
+            self._append_chain_page(next_block, entries)
+        self.entry_count = sum(len(entries) for _, entries in heads + overflow)
+        self._save_meta()
 
     def average_leaf_entries(self) -> float:
         return self.entry_count / max(1, self.buckets)

@@ -468,3 +468,56 @@ class TestCrashSafetyReopen:
         assert result.metrics.index_lookups > 0
         assert result.row_set() == expected.row_set()
         reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# Duplicate keys that span a leaf boundary
+# ---------------------------------------------------------------------------
+
+
+class TestDuplicateKeysAcrossLeaves:
+    """A separator K routes keys >= K right, yet copies of K may also end the
+    left leaf (a split, or a bulk load, puts runs of K on both sides).
+    Lookups and deletes must start left of an equal separator and walk on."""
+
+    @staticmethod
+    def _make(directory: str, rows: int, modulus: int) -> Database:
+        db = Database(network=NETWORK, storage_dir=directory, cost_settings=COST)
+        db.create_table(
+            "T", [("Id", INTEGER), ("K", INTEGER)],
+            rows=[(index, index % modulus) for index in range(rows)],
+        )
+        return db
+
+    def test_search_and_delete_find_every_duplicate(self, tmp_path):
+        directory = str(tmp_path)
+        db = self._make(directory, rows=1200, modulus=3)
+        db.execute("CREATE INDEX t_k_idx ON T (K)")
+        handle = db.storage.index_handle("t_k_idx")
+        assert handle.leaf_count > 3  # every key's run spans leaves
+        assert len(handle.search_eq(1)) == 400
+        assert len(list(handle.search_range(1, 1))) == 400
+        assert len(list(handle.search_range(1, None))) == 800
+
+        db.catalog.table("T").delete(lambda row: row[1] == 1)
+        assert handle.entry_count == 800
+        assert handle.search_eq(1) == []
+        db.close()
+
+        reopened = Database(network=NETWORK, storage_dir=directory, cost_settings=COST)
+        handle = reopened.storage.index_handle("t_k_idx")
+        assert handle.entry_count == 800
+        assert handle.search_eq(1) == []
+        assert len(handle.search_eq(0)) == len(handle.search_eq(2)) == 400
+        reopened.close()
+
+    def test_index_scan_returns_every_matching_row(self, tmp_path):
+        db = self._make(str(tmp_path), rows=6000, modulus=300)
+        db.analyze("T")
+        db.execute("CREATE INDEX t_k_idx ON T (K)")
+        result = db.execute(
+            "SELECT T.Id FROM T WHERE T.K = 196", optimize=True, deliver_results=True
+        )
+        assert result.metrics.index_lookups == 1
+        assert sorted(row[0] for row in result.row_set()) == list(range(196, 6000, 300))
+        db.close()
